@@ -19,21 +19,14 @@
 //! | `ablation` | Section 4.3/4.4 — effect of each Hyperion feature |
 //! | `partitioners` | `HyperionDb` partitioner throughput under key skew |
 //!
-//! Three binaries double as CI smoke checks (`--smoke` shrinks the keysets
-//! and oracle-checks every result) and feed the machine-readable perf
-//! trajectory (`--json <path>` merges their metrics into one flat JSON file,
-//! see [`json`]): `put_throughput`, `get_throughput` and `scan_throughput`
-//! (forward vs reverse scans, `last`/`pred` queries).  `bench_gate` compares
-//! two such metric files and fails on regressions beyond a threshold — CI
-//! runs it against the committed `BENCH_baseline.json`.
+//! These regenerate the paper's figures; performance claims about this
+//! repository are judged by the separate `benchmark/` package.
 
 use hyperion_baselines::{ArtTree, CritBitTree, HatTrie, JudyTrie, OpenHashMap, RedBlackTree};
 use hyperion_core::{HyperionConfig, HyperionMap, KvStore, OrderedKvStore};
 use hyperion_workloads::Workload;
 use std::time::Instant;
 
-pub mod hist;
-pub mod json;
 pub mod microbench;
 
 /// Expands the shared (name -> ordered structure) construction arms so that
@@ -208,28 +201,6 @@ pub fn rss_bytes() -> usize {
         }
     }
     0
-}
-
-/// Million operations per second.
-pub fn mops(n: usize, secs: f64) -> f64 {
-    n as f64 / secs / 1e6
-}
-
-/// Times `f` over `runs` executions and returns the last result with the
-/// fastest run's seconds.  The CI regression gate compares one number per
-/// metric, so best-of-N damps scheduler noise on shared runners; callers
-/// whose closure builds expensive state from scratch (the put benchmarks)
-/// use a smaller `runs`.
-pub fn timed_best_of<T>(runs: usize, mut f: impl FnMut() -> T) -> (T, f64) {
-    assert!(runs > 0);
-    let mut best = f64::INFINITY;
-    let mut out = None;
-    for _ in 0..runs {
-        let start = Instant::now();
-        out = Some(f());
-        best = best.min(start.elapsed().as_secs_f64());
-    }
-    (out.expect("at least one run"), best)
 }
 
 /// Parses the key-count argument shared by all experiment binaries.

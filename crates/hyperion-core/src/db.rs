@@ -99,9 +99,7 @@ use crate::config::HyperionConfig;
 use crate::iter::{prefix_upper_bound, Entries, LowerBound, UpperBound};
 use crate::scan_kernel::ScanBackend;
 use crate::shortcut;
-use crate::stats::{
-    DbStats, OptimisticReadStats, ReadCounters, ShortcutStats, TrieCounters, DB_STATS_VERSION,
-};
+use crate::stats::{DbStats, ReadCounters, ShortcutStats, TrieCounters, DB_STATS_VERSION};
 use crate::trie::HyperionMap;
 use crate::write::WriteError;
 use crate::{KvRead, KvWrite, OrderedRead};
@@ -508,12 +506,6 @@ impl HyperionDbBuilder {
         self
     }
 
-    /// Deprecated alias of [`scan_chunk_size`](HyperionDbBuilder::scan_chunk_size).
-    #[deprecated(since = "0.3.0", note = "renamed to `scan_chunk_size`")]
-    pub fn scan_chunk(self, chunk: usize) -> Self {
-        self.scan_chunk_size(chunk)
-    }
-
     /// Capacity of each shard's hashed shortcut layer in entries (0 turns
     /// the shortcut off).  Shorthand for setting
     /// [`HyperionConfig::shortcut_capacity`] on the shard configuration.
@@ -877,13 +869,6 @@ impl HyperionDb {
             #[cfg(not(feature = "failpoints"))]
             failpoint_trips: 0,
         }
-    }
-
-    /// Snapshot of the optimistic-read outcome counters (process lifetime,
-    /// all shards).
-    #[deprecated(since = "0.3.0", note = "use `HyperionDb::stats().optimistic`")]
-    pub fn optimistic_read_stats(&self) -> OptimisticReadStats {
-        self.read_counters.snapshot()
     }
 
     /// Revives every currently poisoned shard (clears the poison flag and
@@ -1293,17 +1278,6 @@ impl HyperionDb {
             .collect()
     }
 
-    /// Aggregated hashed-shortcut counters across all shards (all zeros when
-    /// the shortcut is disabled).
-    #[deprecated(since = "0.3.0", note = "use `HyperionDb::stats().shortcut`")]
-    pub fn shortcut_stats(&self) -> ShortcutStats {
-        let mut total = ShortcutStats::default();
-        for i in 0..self.shards.len() {
-            total.merge(&self.read_shard_recovering(i, |map| map.shortcut_stats()));
-        }
-        total
-    }
-
     // =========================================================================
     // streaming merged scans
     // =========================================================================
@@ -1402,14 +1376,14 @@ impl HyperionDb {
         true
     }
 
-    // Recovering variants backing the capability-trait impls and the
-    // deprecated `ConcurrentHyperion` shim (bool/Option surface).  The key
-    // length contract is shared with the typed API: if any write path
-    // accepted over-long keys, the typed `get`/`delete` (which treat them as
-    // impossible) could neither see nor remove them — and the stack-depth
-    // bound MAX_KEY_LEN exists for would be bypassed.  The bool surface has
-    // no error channel and silently dropping a write would read as "updated",
-    // so a violation panics (before any lock is taken — no poisoning).
+    // Recovering variants backing the capability-trait impls (bool/Option
+    // surface).  The key length contract is shared with the typed API: if
+    // any write path accepted over-long keys, the typed `get`/`delete` (which
+    // treat them as impossible) could neither see nor remove them — and the
+    // stack-depth bound MAX_KEY_LEN exists for would be bypassed.  The bool
+    // surface has no error channel and silently dropping a write would read
+    // as "updated", so a violation panics (before any lock is taken — no
+    // poisoning).
 
     pub(crate) fn put_recovering(&self, key: &[u8], value: u64) -> bool {
         assert!(
@@ -2310,8 +2284,12 @@ mod tests {
                 .collect();
             assert_eq!(got, expected_ex, "{name} excluded/included bounds");
 
-            let got = db.prefix(b"k01").count();
-            let expected_prefix = reference.keys().filter(|k| k.starts_with(b"k01")).count();
+            let got: Vec<_> = db.prefix(b"k01").collect();
+            let expected_prefix: Vec<_> = reference
+                .iter()
+                .filter(|(k, _)| k.starts_with(b"k01"))
+                .map(|(k, v)| (k.clone(), *v))
+                .collect();
             assert_eq!(got, expected_prefix, "{name} prefix");
         }
     }
@@ -2578,10 +2556,17 @@ mod tests {
             s.shortcut
         );
         assert_eq!(s.poison_recoveries, 0);
-        // The deprecated per-surface accessors remain views of the same data.
-        #[allow(deprecated)]
-        {
-            assert_eq!(db.shortcut_stats(), db.stats().shortcut);
-        }
+    }
+
+    #[test]
+    fn shard_count_is_clamped() {
+        assert_eq!(
+            HyperionDb::new(0, HyperionConfig::default()).shard_count(),
+            1
+        );
+        assert_eq!(
+            HyperionDb::new(10_000, HyperionConfig::default()).shard_count(),
+            MAX_SHARDS
+        );
     }
 }

@@ -57,8 +57,7 @@
 //! operations ([`WriteBatch`], [`HyperionDb::multi_get`]), a typed
 //! [`HyperionError`]/[`PutOutcome`] surface, and streaming merged scans
 //! ([`DbScan`]) whose memory is bounded by `shards × chunk` regardless of
-//! database size.  The old [`ConcurrentHyperion`] wrapper remains as a thin
-//! deprecated shim.
+//! database size.
 //!
 //! ## Trait hierarchy
 //!
@@ -74,7 +73,6 @@
 //! * [`KvStore`] / [`OrderedKvStore`] — auto-implemented combinations for
 //!   trait objects (`Box<dyn OrderedKvStore>`).
 
-pub mod arena;
 pub mod builder;
 pub mod config;
 pub mod container;
@@ -93,8 +91,6 @@ pub mod stats;
 pub mod trie;
 pub mod write;
 
-#[allow(deprecated)]
-pub use arena::ConcurrentHyperion;
 pub use config::HyperionConfig;
 pub use db::{
     BatchReport, BatchSummary, DbScan, FibonacciPartitioner, FirstBytePartitioner, HyperionDb,

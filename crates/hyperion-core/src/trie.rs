@@ -35,7 +35,7 @@ use std::borrow::Cow;
 
 /// A memory-efficient ordered map from byte-string keys to `u64` values.
 ///
-/// This is the single-threaded core of Hyperion; [`crate::ConcurrentHyperion`]
+/// This is the single-threaded core of Hyperion; [`crate::HyperionDb`]
 /// shards keys over multiple `HyperionMap` arenas for thread-safe access.
 pub struct HyperionMap {
     mm: MemoryManager,

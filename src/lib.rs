@@ -65,9 +65,8 @@
 //! pipelined length-prefixed binary protocol served by a nonblocking
 //! readiness loop and shard-affine workers that coalesce concurrent
 //! in-flight requests into `multi_get` / `WriteBatch` / `delete_many`
-//! groups.  [`Server`] starts it, [`Client`] talks to it (synchronously or
-//! pipelined), and the `ycsb_throughput` benchmark drives it with YCSB-style
-//! scenario mixes.
+//! groups.  [`Server`] starts it, and [`Client`] talks to it (synchronously
+//! or pipelined).
 
 pub use hyperion_baselines as baselines;
 pub use hyperion_core as core;
@@ -75,8 +74,6 @@ pub use hyperion_mem as mem;
 pub use hyperion_server as server;
 pub use hyperion_workloads as workloads;
 
-#[allow(deprecated)]
-pub use hyperion_core::ConcurrentHyperion;
 pub use hyperion_core::{
     BatchReport, BatchSummary, ContainerScanner, Cursor, DbScan, DbStats, Entries,
     FibonacciPartitioner, FirstBytePartitioner, HyperionConfig, HyperionDb, HyperionDbBuilder,

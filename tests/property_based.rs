@@ -302,6 +302,58 @@ fn write_engine_invariants_under_interleaved_ops() {
     }
 }
 
+/// Adversarial keyset for the write engine: object-store style keys
+/// (`tenant/NN/bucket/NNN/object-NNNNNN`) share deep prefixes with a fanning
+/// tail, forcing path-compressed rewrites, embedded-container growth,
+/// ejections and splits, with a delete of an absent sibling under a live
+/// prefix after every third put.  `try_put` must never surface an error, and
+/// the result must match a `BTreeMap` oracle and pass the container-invariant
+/// check.
+#[test]
+fn write_engine_converges_on_deep_shared_prefixes() {
+    let mut rng = Mt19937_64::new(0x7e4a47);
+    let mut map = HyperionMap::new();
+    let mut reference: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    for i in 0..20_000u64 {
+        let key = format!(
+            "tenant/{:02}/bucket/{:03}/object-{:06}",
+            rng.next_u64() % 4,
+            rng.next_u64() % 64,
+            rng.next_u64() % 50_000
+        )
+        .into_bytes();
+        let value = rng.next_u64();
+        let inserted = map
+            .try_put(&key, value)
+            .unwrap_or_else(|e| panic!("put {i}: write engine failed to converge: {e:?}"));
+        assert_eq!(inserted, !reference.contains_key(&key), "put {i}");
+        reference.insert(key, value);
+        if i % 3 == 0 {
+            let dead = format!(
+                "tenant/{:02}/bucket/{:03}/x",
+                rng.next_u64() % 4,
+                rng.next_u64() % 64
+            );
+            assert_eq!(
+                map.delete(dead.as_bytes()),
+                reference.remove(dead.as_bytes()).is_some(),
+                "delete {dead}"
+            );
+        }
+    }
+    assert_eq!(map.len(), reference.len(), "len");
+    for (k, v) in &reference {
+        assert_eq!(map.get(k), Some(*v), "get {:?}", String::from_utf8_lossy(k));
+    }
+    map.validate_structure()
+        .unwrap_or_else(|e| panic!("container invariants violated: {e}"));
+    let counters = map.counters();
+    assert!(
+        counters.ejections + counters.splits > 0,
+        "keyset must exercise structural changes: {counters:?}"
+    );
+}
+
 /// Batch application must behave exactly like sequential puts — same final
 /// state *and* same insert count — when keys collide within the batch
 /// (last value wins) and with previously stored keys (update, not insert).

@@ -94,8 +94,7 @@ fn concurrent_pipelined_clients_match_their_oracles() {
                         // flight on other workers — in either direction —
                         // so it runs as a synchronous barrier: drain the
                         // window, send it alone, and drain it too before
-                        // pipelining resumes (the same rule ycsb_throughput
-                        // applies to scans).
+                        // pipelining resumes.
                         _ => {
                             client.flush().expect("flush");
                             while !pending.is_empty() {
