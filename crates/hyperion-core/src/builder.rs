@@ -17,7 +17,6 @@ use crate::node::{
     delta_for, encode_pc_node, make_s_flag, make_t_flag, pc_fits, ChildKind, NodeType,
     TNODE_JT_ENTRIES, TNODE_JT_SIZE, TNODE_JT_STRIDE,
 };
-use crate::scan_kernel::ScanBackend;
 use crate::shortcut::Shortcut;
 use hyperion_mem::MemoryManager;
 
@@ -351,12 +350,7 @@ impl<'a> StreamBuilder<'a> {
             bytes.extend_from_slice(&body);
             (ChildKind::Embedded, bytes)
         } else {
-            let mut container = ContainerRef::create(self.mm, &body);
-            if self.config.scan_backend == ScanBackend::Simd {
-                // Lane the freshly built child before its pointer is read:
-                // the insert may grow the allocation and move the HP.
-                crate::scan_kernel::emit_key_lane(self.mm, &mut container);
-            }
+            let container = ContainerRef::create(self.mm, &body);
             let hp = container.handle().stored_pointer();
             if let Some(shortcut) = self.shortcut {
                 // Fresh subtree at a cacheable depth: seed it so the keys

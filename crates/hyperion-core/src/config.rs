@@ -5,8 +5,6 @@
 //! keys and 16 KiB for variable-length string keys; containers are split once
 //! they exceed `16 KiB + 64 KiB * split_delay`.
 
-use crate::scan_kernel::ScanBackend;
-
 /// Configuration of a [`crate::HyperionMap`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct HyperionConfig {
@@ -48,12 +46,6 @@ pub struct HyperionConfig {
     /// ([`crate::shortcut`]); 0 disables it.  The table allocates lazily and
     /// costs 16 bytes per slot once warm.
     pub shortcut_capacity: usize,
-    /// Scan backend the map emits container layouts for
-    /// ([`crate::scan_kernel`]): [`ScanBackend::Scalar`] keeps the exact-fit
-    /// layout byte-for-byte; [`ScanBackend::Simd`] adds per-container
-    /// key-lane blocks searched data-parallel.  Readers dispatch on lane
-    /// presence per container, so the two layouts interoperate.
-    pub scan_backend: ScanBackend,
 }
 
 impl Default for HyperionConfig {
@@ -74,7 +66,6 @@ impl Default for HyperionConfig {
             split_min_part: 3 * 1024,
             key_preprocessing: false,
             shortcut_capacity: 1 << 16,
-            scan_backend: ScanBackend::Scalar,
         }
     }
 }

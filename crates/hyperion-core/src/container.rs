@@ -6,21 +6,13 @@
 //!
 //! ```text
 //! header bits  0..19  size  (bytes in use, including the header)
-//!             19..26  free  (unused bytes at the end, capped at 127)
-//!             26..27  L     (key-lane block present between jump table and stream)
+//!             19..27  free  (unused bytes at the end, capped at 255)
 //!             27..30  J     (container jump table size in groups of 7 entries)
 //!             30..32  S     (split delay)
 //! ```
 //!
-//! The key-lane bit is a reproduction-side extension (the paper caps the
-//! advisory free field at 255; 127 loses nothing because the authoritative
-//! free count always comes from the memory manager).  When set, a key-lane
-//! block sits between the container jump table and the node stream — see
-//! [`crate::scan_kernel`] for its layout.  Both the container jump table's
-//! offsets (stream-start relative) and all jump offsets inside records
-//! (record relative) are invariant under inserting or removing the lane
-//! block, so the write engine strips it with one `memmove` before editing
-//! and re-emits it when an operation completes.
+//! The free field is advisory, as in the paper: the authoritative free count
+//! always comes from the memory manager.
 
 use crate::node::HP_SIZE;
 use hyperion_mem::{HyperionPointer, MemoryManager};
@@ -211,73 +203,17 @@ impl ContainerRef {
         self.refresh_free_field();
     }
 
-    /// Unused bytes at the end of the allocation (capped at 127 in the header;
+    /// Unused bytes at the end of the allocation (capped at 255 in the header;
     /// the authoritative value comes from the memory manager).
     #[inline]
     pub fn free_field(&self) -> usize {
-        ((self.header() >> 19) & 0x7f) as usize
+        ((self.header() >> 19) & 0xff) as usize
     }
 
     fn refresh_free_field(&mut self) {
-        let free = (self.capacity - self.size()).min(127) as u32;
-        let header = (self.header() & !(0x7f << 19)) | (free << 19);
+        let free = (self.capacity - self.size()).min(255) as u32;
+        let header = (self.header() & !(0xff << 19)) | (free << 19);
         self.set_header(header);
-    }
-
-    /// `true` if a key-lane block sits between the jump table and the stream.
-    #[inline]
-    pub fn has_key_lane(&self) -> bool {
-        self.header() & (1 << 26) != 0
-    }
-
-    /// Sets or clears the key-lane presence bit (the lane bytes themselves
-    /// are managed by [`crate::scan_kernel`]).
-    pub fn set_key_lane_flag(&mut self, present: bool) {
-        let header = (self.header() & !(1 << 26)) | ((present as u32) << 26);
-        self.set_header(header);
-    }
-
-    /// Offset where the key-lane block starts (or would start): directly
-    /// after the container jump table.
-    #[inline]
-    pub fn lane_start(&self) -> usize {
-        HEADER_SIZE + self.jt_groups() * CJT_GROUP * CJT_ENTRY_SIZE
-    }
-
-    /// Total size in bytes of the key-lane block, `0` when absent.
-    ///
-    /// Bounds-clamped for the same torn-read reason as [`stream_end`]: an
-    /// optimistic reader can observe the lane bit of one write paired with
-    /// the length prefix of another, and the result must stay inside the
-    /// allocation (it is discarded at seqlock validation).
-    ///
-    /// [`stream_end`]: ContainerRef::stream_end
-    #[inline]
-    pub fn key_lane_len(&self) -> usize {
-        if !self.has_key_lane() {
-            return 0;
-        }
-        let at = self.lane_start();
-        if at + 2 > self.capacity {
-            return 0;
-        }
-        let len = self.read_u16(at) as usize;
-        len.min(self.capacity - at)
-    }
-
-    /// Removes the key-lane block, if present.  A pure left shift of the node
-    /// stream: container-jump-table offsets are stream-start relative and
-    /// record jump offsets are record relative, so no offset fix-ups follow.
-    pub fn strip_key_lane(&mut self) {
-        if !self.has_key_lane() {
-            return;
-        }
-        let at = self.lane_start();
-        let len = self.key_lane_len().min(self.size().saturating_sub(at));
-        if len > 0 {
-            self.remove_range(at, len);
-        }
-        self.set_key_lane_flag(false);
     }
 
     /// Number of 7-entry groups in the container jump table.
@@ -304,11 +240,11 @@ impl ContainerRef {
         self.set_header(header);
     }
 
-    /// Offset of the first node-stream byte (after the header, the jump
-    /// table and — when present — the key-lane block).
+    /// Offset of the first node-stream byte (after the header and the jump
+    /// table).
     #[inline]
     pub fn stream_start(&self) -> usize {
-        self.lane_start() + self.key_lane_len()
+        HEADER_SIZE + self.jt_groups() * CJT_GROUP * CJT_ENTRY_SIZE
     }
 
     /// Offset just past the last used node-stream byte.
@@ -450,12 +386,7 @@ impl ContainerRef {
     /// jump-table region, shifting the node stream accordingly.  Returns
     /// `true` if the HP changed.
     pub fn set_cjt_entries(&mut self, mm: &mut MemoryManager, entries: &[(u8, u32)]) -> bool {
-        debug_assert!(
-            !self.has_key_lane(),
-            "resize the jump table only on lane-stripped containers"
-        );
         let new_groups = entries.len().div_ceil(CJT_GROUP).min(CJT_MAX_GROUPS);
-        let _old_groups = self.jt_groups();
         let old_start = self.stream_start();
         let new_start = HEADER_SIZE + new_groups * CJT_GROUP * CJT_ENTRY_SIZE;
         let mut hp_changed = false;
@@ -541,6 +472,27 @@ mod tests {
         assert!(c.bytes()[HEADER_SIZE + 200..HEADER_SIZE + 220]
             .iter()
             .all(|&b| b == 0xCC));
+    }
+
+    #[test]
+    fn free_field_reports_up_to_255_bytes_exactly() {
+        let mut mm = mk();
+        let mut c = ContainerRef::create(&mut mm, &[0xEE; 300]);
+        c.set_split_delay(3);
+        let mut seen_wide = false;
+        while c.size() > HEADER_SIZE {
+            let free = c.capacity() - c.size();
+            assert_eq!(c.free_field(), free.min(255), "size {}", c.size());
+            seen_wide |= (128..=255).contains(&free);
+            c.remove_range(HEADER_SIZE, 1);
+        }
+        assert!(seen_wide, "no state with 128..=255 free bytes visited");
+        assert!(c.capacity() - c.size() > 255);
+        assert_eq!(c.free_field(), 255, "free field saturates at 255");
+        // A saturated free field leaves the neighbouring header fields alone.
+        assert_eq!(c.jt_groups(), 0);
+        assert_eq!(c.split_delay(), 3);
+        assert_eq!(c.size(), HEADER_SIZE);
     }
 
     #[test]

@@ -97,7 +97,6 @@
 
 use crate::config::HyperionConfig;
 use crate::iter::{prefix_upper_bound, Entries, LowerBound, UpperBound};
-use crate::scan_kernel::ScanBackend;
 use crate::shortcut;
 use crate::stats::{DbStats, ReadCounters, ShortcutStats, TrieCounters, DB_STATS_VERSION};
 use crate::trie::HyperionMap;
@@ -450,7 +449,6 @@ impl Partitioner for RangePartitioner {
 /// | routing | [`partitioner`](HyperionDbBuilder::partitioner) | [`FirstBytePartitioner`] | key-to-shard assignment |
 /// | scan chunk size | [`scan_chunk_size`](HyperionDbBuilder::scan_chunk_size) | [`DEFAULT_SCAN_CHUNK`] | entries buffered per shard per lock acquisition |
 /// | shortcut capacity | [`shortcut_capacity`](HyperionDbBuilder::shortcut_capacity) | [`HyperionConfig::shortcut_capacity`] | per-shard hashed shortcut entries (0 = off) |
-/// | scan backend | [`scan_backend`](HyperionDbBuilder::scan_backend) | [`ScanBackend::Scalar`] | container scan kernel (scalar or SIMD key lanes) |
 ///
 /// Server-side limits (`max_queue_depth`, connection caps, deadlines) live on
 /// [`ServerConfig`](../../hyperion_server/struct.ServerConfig.html), not here:
@@ -514,15 +512,6 @@ impl HyperionDbBuilder {
         self
     }
 
-    /// Container scan backend for every shard (see
-    /// [`ScanBackend`]).  Shorthand for setting
-    /// [`HyperionConfig::scan_backend`] on the shard configuration.
-    /// Default: [`ScanBackend::Scalar`].
-    pub fn scan_backend(mut self, backend: ScanBackend) -> Self {
-        self.config.scan_backend = backend;
-        self
-    }
-
     /// Builds the database.
     pub fn build(self) -> HyperionDb {
         // Install the quiet hook up front (not only on the first optimistic
@@ -534,7 +523,6 @@ impl HyperionDbBuilder {
         }
         HyperionDb {
             shards,
-            config: self.config,
             partitioner: self.partitioner,
             scan_chunk: self.scan_chunk,
             scratch: Mutex::new(Vec::new()),
@@ -681,9 +669,6 @@ fn install_quiet_panic_hook() {
 /// [module documentation](self) for an overview.
 pub struct HyperionDb {
     shards: Vec<Shard>,
-    /// The per-shard configuration every shard was built with; kept so
-    /// [`HyperionDb::stats`] can report build-time choices (scan backend).
-    config: HyperionConfig,
     partitioner: Arc<dyn Partitioner>,
     scan_chunk: usize,
     /// Reusable per-shard index groups for [`HyperionDb::apply`] /
@@ -845,9 +830,9 @@ impl HyperionDb {
     /// One versioned snapshot of every statistics surface the engine keeps:
     /// the hashed-shortcut counters, the optimistic-read outcomes, the
     /// structural trie counters (all aggregated across shards), the poison
-    /// recoveries, the fault-injection trip total and the configured scan
-    /// backend.  This is the single stats entry point — the server's STATS
-    /// verb and the benchmarks build on it.
+    /// recoveries and the fault-injection trip total.  This is the single
+    /// stats entry point — the server's STATS verb and the benchmarks build
+    /// on it.
     pub fn stats(&self) -> DbStats {
         let mut shortcut = ShortcutStats::default();
         let mut counters = TrieCounters::default();
@@ -859,7 +844,6 @@ impl HyperionDb {
         }
         DbStats {
             version: DB_STATS_VERSION,
-            scan_backend: self.config.scan_backend,
             shortcut,
             optimistic: self.read_counters.snapshot(),
             counters,
@@ -2536,7 +2520,6 @@ mod tests {
         let db = HyperionDb::builder()
             .shards(4)
             .shortcut_capacity(1 << 8)
-            .scan_backend(ScanBackend::Simd)
             .build();
         for i in 0..2_000u64 {
             db.put(&i.to_be_bytes(), i).unwrap();
@@ -2546,7 +2529,6 @@ mod tests {
         }
         let s = db.stats();
         assert_eq!(s.version, DB_STATS_VERSION);
-        assert_eq!(s.scan_backend, ScanBackend::Simd);
         // The read loop ran unopposed, so every get validated lock-free.
         assert!(s.optimistic.hits >= 2_000, "hits: {:?}", s.optimistic);
         // Point descents probed the shortcut table on every locked access.

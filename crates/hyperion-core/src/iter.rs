@@ -34,7 +34,6 @@ use crate::scan::{
     cjt_seed, collect_s_records_from, collect_t_records_trusted_bounded, skip_t_children,
     tnode_jt_seed,
 };
-use crate::scan_kernel::ContainerScanner;
 use crate::trie::HyperionMap;
 use hyperion_mem::HyperionPointer;
 use std::cmp::Ordering;
@@ -538,49 +537,29 @@ impl<'a> Cursor<'a> {
             });
         } else {
             let c = ContainerRef::open(mm, ContainerHandle::Standalone(hp));
-            let ((pos, prev_key), end) = (self.seek_seed(&c, base), c.stream_end());
+            let (pos, end) = (self.seek_seed(&c, base), c.stream_end());
             self.stack.push(Frame::Tops {
                 c,
                 pos,
                 end,
-                prev_key,
+                prev_key: None,
                 base,
             });
         }
     }
 
-    /// The initial S-walk position (and its delta predecessor) below the T
-    /// record `t` for a cursor at key depth `base`: when the cursor is still
-    /// seeking and `t` lies exactly on the seek path, the key lane jumps to
-    /// the first child at or past the target byte (its predecessor comes
-    /// from the lane) and the T-node jump table seeds the best explicit-key
-    /// slot otherwise; off the seek path the walk starts at the first child.
-    fn subs_seed(
-        &self,
-        c: &ContainerRef,
-        t: &crate::node::TNode,
-        base: usize,
-        end: usize,
-    ) -> (usize, Option<u8>) {
-        let default = (t.header_end, None);
-        if !self.on_seek_path(base) {
-            return default;
-        }
-        let target = self.start[base];
-        // Skipping every child below the target is sound on the seek path:
-        // each skipped child's subtree precedes the seek target (the same
-        // pruning argument as the jump-table seed, which can only land *at
-        // or below* the target rather than past it).
-        if let Some(seed) = ContainerScanner::new(c).seek_s(t.offset, target, end) {
-            return seed;
-        }
-        let Some(jt_off) = t.jt_offset else {
+    /// The initial S-walk position below the T record `t` for a cursor at
+    /// key depth `base`: when the cursor is still seeking and `t` lies
+    /// exactly on the seek path, the T-node jump table seeds the best
+    /// explicit-key slot; otherwise the walk starts at the first child.
+    /// Either position starts an explicit-key record, so the walk resumes
+    /// without a delta predecessor.
+    fn subs_seed(&self, c: &ContainerRef, t: &TNode, base: usize, end: usize) -> usize {
+        let default = t.header_end;
+        let Some(jt_off) = t.jt_offset.filter(|_| self.on_seek_path(base)) else {
             return default;
         };
-        (
-            tnode_jt_seed(c, t.offset, jt_off, target, default.0, end).unwrap_or(default.0),
-            None,
-        )
+        tnode_jt_seed(c, t.offset, jt_off, self.start[base], default, end).unwrap_or(default)
     }
 
     /// `true` while the cursor is still seeking and the path walked so far
@@ -594,32 +573,21 @@ impl<'a> Cursor<'a> {
             && self.prefix[..base] == self.start[..base]
     }
 
-    /// The initial T-walk position (and its delta predecessor) for a
-    /// container entered at key depth `base`: when the cursor is still
-    /// seeking and this container lies exactly on the seek path, the key
-    /// lane jumps to the first record at or past the seek byte and the
-    /// container jump table seeds its best entry otherwise; off the seek
-    /// path the walk starts at the stream start.
+    /// The initial T-walk position for a container entered at key depth
+    /// `base`: when the cursor is still seeking and this container lies
+    /// exactly on the seek path, the container jump table seeds its best
+    /// entry; off the seek path the walk starts at the stream start.
     ///
     /// Seeding is sound because every T record skipped over has a key below
     /// the seek byte, so its whole subtree precedes the seek target — the
     /// walk would have pruned it record by record.  CJT entries reference
-    /// explicit-key records, so that path resumes without a predecessor;
-    /// lane seeds carry the skipped sibling's key for delta decoding.
-    fn seek_seed(&self, c: &ContainerRef, base: usize) -> (usize, Option<u8>) {
-        let default = (c.stream_start(), None);
+    /// explicit-key records, so the walk resumes without a predecessor.
+    fn seek_seed(&self, c: &ContainerRef, base: usize) -> usize {
+        let default = c.stream_start();
         if !self.on_seek_path(base) {
             return default;
         }
-        let target = self.start[base];
-        let end = c.stream_end();
-        if let Some(seed) = ContainerScanner::new(c).seek_t(target, end) {
-            return seed;
-        }
-        (
-            cjt_seed(c, target, default.0, end).unwrap_or(default.0),
-            None,
-        )
+        cjt_seed(c, self.start[base], default, c.stream_end()).unwrap_or(default)
     }
 
     /// [`Cursor::next_transformed_inner`] plus the shortcut-continuation
@@ -681,12 +649,12 @@ impl<'a> Cursor<'a> {
                     });
                     let handle = ContainerHandle::ChainSlot { head, index };
                     let c = ContainerRef::open(self.map.memory_manager(), handle);
-                    let ((pos, prev_key), end) = (self.seek_seed(&c, base), c.stream_end());
+                    let (pos, end) = (self.seek_seed(&c, base), c.stream_end());
                     self.stack.push(Frame::Tops {
                         c,
                         pos,
                         end,
-                        prev_key,
+                        prev_key: None,
                         base,
                     });
                 }
@@ -730,14 +698,14 @@ impl<'a> Cursor<'a> {
                     // jump table (when present) positions the S walk close
                     // to the target byte — same pruning argument as
                     // `seek_seed`, one level down.
-                    let (sub_pos, sub_prev) = self.subs_seed(&c, &t, base + 1, end);
+                    let sub_pos = self.subs_seed(&c, &t, base + 1, end);
                     // The Subs frame discovers the next T sibling offset and
                     // writes it back into the Tops frame when it pops.
                     self.stack.push(Frame::Subs {
                         c,
                         pos: sub_pos,
                         end,
-                        prev_key: sub_prev,
+                        prev_key: None,
                         base: base + 1,
                     });
                     if let Some(value) = value {

@@ -84,7 +84,6 @@ pub mod keys;
 pub mod node;
 pub mod read;
 pub mod scan;
-pub mod scan_kernel;
 pub(crate) mod seqlock;
 pub mod shortcut;
 pub mod stats;
@@ -98,7 +97,6 @@ pub use db::{
     RangePartitioner, WriteBatch,
 };
 pub use iter::{Cursor, Entries, Iter, Prefix, Range};
-pub use scan_kernel::{ContainerScanner, Resume, ScanBackend};
 pub use shortcut::Shortcut;
 pub use stats::{DbStats, OptimisticReadStats, ShortcutStats, TrieAnalysis, TrieCounters};
 pub use trie::HyperionMap;

@@ -105,13 +105,13 @@ impl ChildKind {
 }
 
 /// Returns `true` if the flag byte denotes a T-node (k flag clear).
-#[inline]
+#[inline(always)]
 pub fn is_t_node(flag: u8) -> bool {
     flag & 0b100 == 0
 }
 
 /// Returns `true` if the flag byte marks unused memory.
-#[inline]
+#[inline(always)]
 pub fn is_invalid(flag: u8) -> bool {
     flag & 0b11 == 0
 }

@@ -21,24 +21,23 @@
 //! * **One-pass CJT probe.**  [`crate::scan::cjt_seed`] stops at the first
 //!   entry past the target instead of reading every slot of every group
 //!   (live entries are ascending; cleared slots are zero).
-//! * **Scanner-dispatched finds.**  Every record search goes through
-//!   [`ContainerScanner`] ([`crate::scan_kernel`]): laned containers are
-//!   searched data-parallel over their contiguous key bytes, everything
-//!   else runs the scalar loops, which delta-decode only the key byte per
-//!   record and parse the full record header exactly once — at the match.
+//! * **Lean finds.**  The record searches ([`crate::scan`]'s
+//!   `t_find_scalar`/`s_find_scalar`) delta-decode only the key byte per
+//!   record, skip mismatches by lengths derived from the flag byte, and
+//!   parse the full record header exactly once — at the match.
 //!
 //! # The resume protocol (shared with `write`)
 //!
 //! [`HyperionMap::get_many`] sorts its probes in transformed key space and
 //! then descends exactly like [`HyperionMap::put_many`]: the T-level loop
-//! ([`ContainerScanner::find_t_from`]) continues from the *previous* probe's
-//! position carrying its delta-decoding predecessor, the S-level loop
-//! ([`ContainerScanner::find_s_from`]) resumes the same way, and probes
-//! sharing a 2-byte prefix descend into their child exactly once.  The resume is *adaptive*: the jump-table probes only
-//! accept seeds past the current position, so a sparse batch jumps between
-//! probes like a point get while a dense batch walks each record at most
-//! once.  Misses simply leave their `None` in place and hand the scan
-//! position to the next probe.
+//! (`t_find_from_scalar`) continues from the *previous* probe's position
+//! carrying its delta-decoding predecessor, the S-level loop
+//! (`s_find_from_scalar`) resumes the same way, and probes sharing a 2-byte
+//! prefix descend into their child exactly once.  The resume is *adaptive*:
+//! the jump-table probes only accept seeds past the current position, so a
+//! sparse batch jumps between probes like a point get while a dense batch
+//! walks each record at most once.  Misses simply leave their `None` in
+//! place and hand the scan position to the next probe.
 //!
 //! Pointer hops are not taken inline: each level's descents are gathered
 //! into a frontier and processed in windows of `DESCENT_WINDOW` descents, each
@@ -55,7 +54,7 @@
 use crate::container::{ContainerHandle, ContainerRef};
 use crate::keys::TransformedKey;
 use crate::node::{parse_pc_node, NodeType, SNode, TNode, VALUE_SIZE};
-use crate::scan_kernel::{ContainerScanner, Resume};
+use crate::scan::{s_find_from_scalar, s_find_scalar, t_find_from_scalar, t_find_scalar, Resume};
 use crate::trie::HyperionMap;
 use hyperion_mem::HyperionPointer;
 
@@ -147,14 +146,13 @@ impl HyperionMap {
                 None => ContainerHandle::Standalone(hp),
             };
             let c = ContainerRef::from_parts(handle, ptr, capacity);
-            let mut scanner = ContainerScanner::new(&c);
             let mut start = c.stream_start();
             let mut end = c.stream_end();
             let mut top = true;
             // Embedded containers narrow the window on the same byte stream:
             // the descent is iterative, not recursive.
             loop {
-                let t = scanner.find_t(start, end, rest[0], top)?;
+                let t = t_find_scalar(&c, start, end, rest[0], top)?;
                 if rest.len() == 1 {
                     return match t.node_type {
                         NodeType::LeafWithValue if read_value => {
@@ -164,7 +162,7 @@ impl HyperionMap {
                         _ => None,
                     };
                 }
-                let s = scanner.find_s(&t, end, rest[1])?;
+                let s = s_find_scalar(&c, t.header_end, end, rest[1], (t.offset, t.jt_offset))?;
                 if rest.len() == 2 {
                     return match s.node_type {
                         NodeType::LeafWithValue if read_value => {
@@ -421,7 +419,6 @@ impl HyperionMap {
         results: &mut [Option<u64>],
         next: &mut Vec<Descent>,
     ) {
-        let mut scanner = ContainerScanner::new(c);
         let mut state = Resume {
             pos: start,
             prev: None,
@@ -433,8 +430,8 @@ impl HyperionMap {
             while j < hi && ctx.probes[ctx.order[j] as usize][depth] == target {
                 j += 1;
             }
-            if let Some(t) = scanner.find_t_from(&mut state, end, target, top) {
-                self.read_t_group(c, &mut scanner, &t, end, depth, i, j, ctx, results, next);
+            if let Some(t) = t_find_from_scalar(c, &mut state, end, target, top) {
+                self.read_t_group(c, &t, end, depth, i, j, ctx, results, next);
             }
             i = j;
         }
@@ -447,7 +444,6 @@ impl HyperionMap {
     fn read_t_group(
         &self,
         c: &ContainerRef,
-        scanner: &mut ContainerScanner,
         t: &TNode,
         end: usize,
         depth: usize,
@@ -477,7 +473,7 @@ impl HyperionMap {
             while j < hi && ctx.probes[ctx.order[j] as usize][depth + 1] == target {
                 j += 1;
             }
-            if let Some(s) = scanner.find_s_from(&mut state, end, target, jt) {
+            if let Some(s) = s_find_from_scalar(c, &mut state, end, target, jt) {
                 self.read_s_group(c, &s, depth, i, j, ctx, results, next);
             }
             i = j;

@@ -8,11 +8,18 @@
 //! * the *container jump table* to start the T-node walk close to the target,
 //! * per-T-node *jump successor* offsets to skip over a T-node's S children,
 //! * per-T-node *jump tables* to start the S-node walk close to the target.
+//!
+//! Two families of walks share those seeds.  The write engine's
+//! [`t_scan`]/[`s_scan`] parse every visited record, because an edit needs
+//! the insertion point, the delta predecessor and the successor.  The read
+//! engine's finds (`t_find_scalar`, `t_find_from_scalar` and their S
+//! twins) decode only each record's key byte, skip mismatches by lengths
+//! derived from the flag byte, and parse the match exactly once.
 
 use crate::container::{ContainerRef, CJT_ENTRY_SIZE, HEADER_SIZE};
 use crate::node::{
-    is_invalid, is_t_node, parse_s_node, parse_t_node, SNode, TNode, TNODE_JT_ENTRIES,
-    TNODE_JT_STRIDE,
+    is_invalid, is_t_node, parse_s_node, parse_t_node, SNode, TNode, HP_SIZE, JS_SIZE,
+    TNODE_JT_ENTRIES, TNODE_JT_SIZE, TNODE_JT_STRIDE, VALUE_SIZE,
 };
 
 /// Result of scanning for a T-node with a given partial key.
@@ -318,14 +325,6 @@ pub fn collect_t_records_trusted_bounded(
     end: usize,
     max_key: Option<u8>,
 ) -> Vec<TNode> {
-    // A key lane covers exactly the top-level region: collect straight from
-    // its contiguous keys and offset sidecar, skipping every jump-successor
-    // hop and S-record walk between T siblings.
-    if start == c.stream_start() {
-        if let Some(out) = crate::scan_kernel::lane_collect_t_bounded(c, end, max_key) {
-            return out;
-        }
-    }
     let bytes = c.bytes();
     let mut out = Vec::new();
     let mut pos = start;
@@ -390,4 +389,260 @@ pub fn collect_s_records_from(
         out.push(s);
     }
     out
+}
+
+// ---------------------------------------------------------------------------
+// lean finds of the read engine
+// ---------------------------------------------------------------------------
+
+/// Resume state of a lean batched scan: the offset of the next unvisited
+/// record and the delta-decoding predecessor key at that offset, carried
+/// across the probes of one sorted batch by [`t_find_from_scalar`] and
+/// [`s_find_from_scalar`].
+pub(crate) struct Resume {
+    /// Offset of the next unvisited record (or the region end).
+    pub(crate) pos: usize,
+    /// Key of the record preceding `pos`, `None` when `pos` starts a run.
+    pub(crate) prev: Option<u8>,
+}
+
+/// `true` if the record stores an inline value (`NodeType::LeafWithValue`).
+#[inline(always)]
+fn flag_has_value(flag: u8) -> bool {
+    flag & 0b11 == 0b11
+}
+
+/// Offset just past the S record at `pos`, derived from the flag byte alone
+/// (no `SNode` is materialised).
+#[inline(always)]
+pub(crate) fn s_record_end(bytes: &[u8], pos: usize) -> usize {
+    let flag = bytes[pos];
+    let explicit = (flag >> 3) & 0b111 == 0;
+    let mut cursor =
+        pos + 1 + explicit as usize + if flag_has_value(flag) { VALUE_SIZE } else { 0 };
+    match (flag >> 6) & 0b11 {
+        0 => {}
+        1 => cursor += HP_SIZE,
+        2 => cursor += (bytes[cursor] as usize).max(1),
+        _ => cursor += ((bytes[cursor] & 0x7f) as usize).max(1),
+    }
+    cursor
+}
+
+/// Offset of the T sibling following the record at `pos`, using the
+/// jump-successor offset when present and a lean S-record walk otherwise.
+#[inline]
+pub(crate) fn t_skip(bytes: &[u8], pos: usize, end: usize) -> usize {
+    let flag = bytes[pos];
+    let explicit = (flag >> 3) & 0b111 == 0;
+    let mut cursor =
+        pos + 1 + explicit as usize + if flag_has_value(flag) { VALUE_SIZE } else { 0 };
+    if flag & (1 << 6) != 0 {
+        let v = u16::from_le_bytes([bytes[cursor], bytes[cursor + 1]]) as usize;
+        if v != 0 {
+            return (pos + v).min(end);
+        }
+        cursor += JS_SIZE;
+    }
+    if flag & (1 << 7) != 0 {
+        cursor += TNODE_JT_SIZE;
+    }
+    let mut p = cursor;
+    while p < end {
+        let f = bytes[p];
+        if is_invalid(f) || is_t_node(f) {
+            break;
+        }
+        p = s_record_end(bytes, p);
+    }
+    p.min(end)
+}
+
+/// The point T find in `[start, end)`: decodes only each record's key
+/// byte, skips mismatching records by flag-derived lengths, parses the
+/// match exactly once.  `use_cjt` seeds the start position from the
+/// container jump table (valid only when `start` is the container's stream
+/// start).
+pub(crate) fn t_find_scalar(
+    c: &ContainerRef,
+    start: usize,
+    end: usize,
+    target: u8,
+    use_cjt: bool,
+) -> Option<TNode> {
+    let bytes = c.bytes();
+    let mut pos = start;
+    if use_cjt {
+        if let Some(seed) = cjt_seed(c, target, pos, end) {
+            pos = seed;
+        }
+    }
+    // The first visited record is always explicit-key (region starts and CJT
+    // targets are), so a zero predecessor never leaks into a decoded key.
+    let mut prev: u8 = 0;
+    while pos < end {
+        let flag = bytes[pos];
+        if is_invalid(flag) {
+            return None;
+        }
+        // An S flag here means the stream is torn (optimistic reader racing
+        // a writer): miss gracefully, the seqlock validation discards it.
+        if !is_t_node(flag) {
+            return None;
+        }
+        let delta = (flag >> 3) & 0b111;
+        let key = if delta == 0 {
+            bytes[pos + 1]
+        } else {
+            prev.wrapping_add(delta)
+        };
+        if key >= target {
+            if key > target {
+                return None;
+            }
+            return parse_t_node(bytes, pos, Some(prev));
+        }
+        prev = key;
+        pos = t_skip(bytes, pos, end);
+    }
+    None
+}
+
+/// Resume-capable T find: continues from (and updates) `state` so a sorted
+/// batch walks each record at most once.  On a match the state resumes past
+/// the record's subtree; on a miss it rests at the first record past the
+/// target with its true delta predecessor, so the next probe continues from
+/// there.  `use_cjt` seeds from the container jump table, and only seeds
+/// past `state.pos` are taken.
+pub(crate) fn t_find_from_scalar(
+    c: &ContainerRef,
+    state: &mut Resume,
+    end: usize,
+    target: u8,
+    use_cjt: bool,
+) -> Option<TNode> {
+    let bytes = c.bytes();
+    if use_cjt {
+        if let Some(seed) = cjt_seed(c, target, state.pos, end) {
+            state.pos = seed;
+            state.prev = None;
+        }
+    }
+    loop {
+        let pos = state.pos;
+        if pos >= end {
+            return None;
+        }
+        let flag = bytes[pos];
+        if is_invalid(flag) {
+            return None;
+        }
+        // Torn stream (see `t_find_scalar`): miss instead of asserting.
+        if !is_t_node(flag) {
+            return None;
+        }
+        let delta = (flag >> 3) & 0b111;
+        let key = if delta == 0 {
+            bytes[pos + 1]
+        } else {
+            state.prev.unwrap_or(0).wrapping_add(delta)
+        };
+        if key >= target {
+            if key > target {
+                return None;
+            }
+            let t = parse_t_node(bytes, pos, state.prev);
+            // Resume past this record's subtree for the next probe.
+            state.pos = t_skip(bytes, pos, end);
+            state.prev = Some(key);
+            return t;
+        }
+        state.prev = Some(key);
+        state.pos = t_skip(bytes, pos, end);
+    }
+}
+
+/// Resume-capable S find below the T record described by `jt` (its offset
+/// and jump-table offset); same state contract as [`t_find_from_scalar`].
+pub(crate) fn s_find_from_scalar(
+    c: &ContainerRef,
+    state: &mut Resume,
+    end: usize,
+    target: u8,
+    jt: (usize, Option<usize>),
+) -> Option<SNode> {
+    let bytes = c.bytes();
+    if let (t_off, Some(jt_off)) = jt {
+        if let Some(seed) = tnode_jt_seed(c, t_off, jt_off, target, state.pos, end) {
+            state.pos = seed;
+            state.prev = None;
+        }
+    }
+    loop {
+        let pos = state.pos;
+        if pos >= end {
+            return None;
+        }
+        let flag = bytes[pos];
+        if is_invalid(flag) || is_t_node(flag) {
+            return None;
+        }
+        let delta = (flag >> 3) & 0b111;
+        let key = if delta == 0 {
+            bytes[pos + 1]
+        } else {
+            state.prev.unwrap_or(0).wrapping_add(delta)
+        };
+        if key >= target {
+            if key > target {
+                return None;
+            }
+            let s = parse_s_node(bytes, pos, state.prev);
+            state.pos = s_record_end(bytes, pos);
+            state.prev = Some(key);
+            return s;
+        }
+        state.prev = Some(key);
+        state.pos = s_record_end(bytes, pos);
+    }
+}
+
+/// The point S find among the children starting at `start`; `jt` carries
+/// the owning T record's offset and jump-table offset for seeding.
+pub(crate) fn s_find_scalar(
+    c: &ContainerRef,
+    start: usize,
+    end: usize,
+    target: u8,
+    jt: (usize, Option<usize>),
+) -> Option<SNode> {
+    let bytes = c.bytes();
+    let mut pos = start;
+    if let (t_off, Some(jt_off)) = jt {
+        if let Some(seed) = tnode_jt_seed(c, t_off, jt_off, target, pos, end) {
+            pos = seed;
+        }
+    }
+    let mut prev: u8 = 0;
+    while pos < end {
+        let flag = bytes[pos];
+        if is_invalid(flag) || is_t_node(flag) {
+            return None;
+        }
+        let delta = (flag >> 3) & 0b111;
+        let key = if delta == 0 {
+            bytes[pos + 1]
+        } else {
+            prev.wrapping_add(delta)
+        };
+        if key >= target {
+            if key > target {
+                return None;
+            }
+            return parse_s_node(bytes, pos, Some(prev));
+        }
+        prev = key;
+        pos = s_record_end(bytes, pos);
+    }
+    None
 }

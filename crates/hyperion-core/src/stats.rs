@@ -131,8 +131,9 @@ impl OptimisticReadStats {
 }
 
 /// Layout version of the [`DbStats`] tree; bumped whenever fields are added
-/// so wire consumers (the server STATS verb) can tell encodings apart.
-pub const DB_STATS_VERSION: u64 = 1;
+/// or removed so wire consumers (the server STATS verb) can tell encodings
+/// apart.
+pub const DB_STATS_VERSION: u64 = 2;
 
 /// The unified statistics tree of a [`crate::HyperionDb`], returned by
 /// [`crate::HyperionDb::stats`].
@@ -146,10 +147,6 @@ pub const DB_STATS_VERSION: u64 = 1;
 pub struct DbStats {
     /// Layout version ([`DB_STATS_VERSION`]).
     pub version: u64,
-    /// The scan backend the db was built with ([`crate::scan_kernel`]); its
-    /// [`kernel_name`](crate::ScanBackend::kernel_name) tells which concrete
-    /// kernel (scalar/sse2/avx2/neon) this build resolves it to.
-    pub scan_backend: crate::scan_kernel::ScanBackend,
     /// Hashed shortcut layer counters, merged across shards.
     pub shortcut: ShortcutStats,
     /// Optimistic (seqlock-validated) read path counters.

@@ -69,7 +69,6 @@ use crate::scan::{
     collect_s_records, collect_t_records_trusted, s_scan, s_scan_from, skip_t_children, t_scan,
     t_scan_from,
 };
-use crate::scan_kernel::{emit_key_lane, ScanBackend};
 use crate::seqlock::MapSeq;
 use crate::shortcut::Shortcut;
 use crate::stats::TrieCounters;
@@ -520,11 +519,7 @@ impl<'a> WriteEngine<'a> {
         depth: usize,
         entries: &[(Vec<u8>, u64)],
     ) -> Result<(usize, usize, HyperionPointer), WriteError> {
-        let mut opened = ContainerRef::open(self.mm, handle);
-        // The engine's offsets all assume the lane-free layout; strip any
-        // key lane up front and re-emit it when the operation completes.
-        opened.strip_key_lane();
-        let mut site = Site::new(opened);
+        let mut site = Site::new(ContainerRef::open(self.mm, handle));
         let outcome = self.write_tops(&mut site, Frame::top(), depth, entries, true)?;
         self.flush_links(&mut site);
         let c = &mut site.regs[0];
@@ -538,22 +533,15 @@ impl<'a> WriteEngine<'a> {
             self.rebuild_container_jump_table(c);
             self.edits.clear();
         }
-        let stored = if self.config.container_split {
-            // `maybe_split` owns lane re-emission on its no-split and abort
-            // exits; after an in-chain split (also `None`) the old slot
-            // block is freed and `c`'s bytes must not be touched — only the
-            // handle-derived stored pointer is still meaningful.
-            match self.maybe_split(c) {
-                Some(new_stored) => new_stored,
-                None => c.handle().stored_pointer(),
-            }
+        let split = if self.config.container_split {
+            self.maybe_split(c)
         } else {
-            // Re-emit before the stored pointer is read: the insert may
-            // grow the allocation, and the caller propagates the pointer it
-            // reads here.
-            self.maybe_emit_lane(c);
-            c.handle().stored_pointer()
+            None
         };
+        // After an in-chain split (also `None`) the old slot block is freed
+        // and `c`'s bytes must not be touched — only the handle-derived
+        // stored pointer is still meaningful.
+        let stored = split.unwrap_or_else(|| c.handle().stored_pointer());
         Ok((outcome.consumed, outcome.inserted, stored))
     }
 
@@ -597,27 +585,8 @@ impl<'a> WriteEngine<'a> {
 
     /// Rewrites every ejected child's Hyperion Pointer whose container was
     /// reallocated after the eject, and discharges the links.
-    ///
-    /// This is the op-close write-back, so each ejected child is also laned
-    /// here, innermost first: the lane insert may reallocate the child, so it
-    /// must precede the parent-slot write, and the parent itself is laned
-    /// only when its own (earlier-created, later-visited) link is flushed —
-    /// the slot offset is therefore still valid in the lane-free layout.
     fn flush_links(&mut self, site: &mut Site) {
-        for i in (0..site.links.len()).rev() {
-            let Link {
-                epoch,
-                cid,
-                off,
-                child,
-            } = site.links[i];
-            self.maybe_emit_lane(&mut site.regs[child]);
-            let current = site.regs[child].handle().stored_pointer();
-            let (cid, off) = site.sync_point(epoch, cid, off);
-            if site.regs[cid].read_hp(off) != current {
-                site.regs[cid].write_hp(off, current);
-            }
-        }
+        self.flush_links_keep(site);
         site.links.clear();
     }
 
@@ -1234,8 +1203,6 @@ impl<'a> WriteEngine<'a> {
         let size = site.regs[old].bytes()[ctx.child] as usize;
         let (lo, hi) = (ctx.child + 1, ctx.child + size);
         let body: Vec<u8> = site.regs[old].bytes()[lo..hi].to_vec();
-        // No lane yet: the write cursor keeps writing into this child with
-        // lane-free offsets.  `flush_links` lanes it when the op closes.
         let child = ContainerRef::create(self.mm, &body);
         let child_hp = child.handle().stored_pointer();
         // Replace the embed with a 5-byte HP in the old container.  The
@@ -1739,9 +1706,6 @@ impl<'a> WriteEngine<'a> {
     fn maybe_split(&mut self, c: &mut ContainerRef) -> Option<HyperionPointer> {
         let threshold = self.config.split_threshold(c.split_delay());
         if c.size() < threshold {
-            // Laned after the size check so both backends compare the same
-            // lane-free size against the split threshold.
-            self.maybe_emit_lane(c);
             return None;
         }
         let stream_start = c.stream_start();
@@ -1865,19 +1829,6 @@ impl<'a> WriteEngine<'a> {
             // the halves; no event log spans a split, so drop them.
             self.edits.clear();
         }
-        // Lanes last, after the jump tables settle the final record layout.
-        // Both halves are chain slots, whose head HP survives reallocation.
-        self.maybe_emit_lane(left);
-        self.maybe_emit_lane(right);
-    }
-
-    /// Re-emits `c`'s key-lane block when the map is configured for the
-    /// SIMD scan backend; a no-op under the scalar backend, which keeps the
-    /// previous byte layout exactly.
-    fn maybe_emit_lane(&mut self, c: &mut ContainerRef) {
-        if self.config.scan_backend == ScanBackend::Simd {
-            emit_key_lane(self.mm, c);
-        }
     }
 
     fn abort_split(&mut self, c: &mut ContainerRef) -> Option<HyperionPointer> {
@@ -1887,9 +1838,6 @@ impl<'a> WriteEngine<'a> {
         }
         self.counters.split_aborts += 1;
         self.seq.note_structural();
-        // The container survives an aborted split, so it still needs its
-        // lane back (the actual-split exits lane the halves instead).
-        self.maybe_emit_lane(c);
         None
     }
 
@@ -1911,16 +1859,12 @@ impl<'a> WriteEngine<'a> {
         let key = &full[depth..];
         let handle = self.resolve_handle(hp, key[0]);
         let mut c = ContainerRef::open(self.mm, handle);
-        c.strip_key_lane();
         let start = c.stream_start();
         let end = c.stream_end();
         let removed = self.delete_in_region(&mut c, start, end, &[], full, depth);
         self.edits.clear();
         let empty = c.stream_end() == c.stream_start()
             && matches!(c.handle(), ContainerHandle::Standalone(_));
-        if !empty {
-            self.maybe_emit_lane(&mut c);
-        }
         (c.handle().stored_pointer(), removed, empty)
     }
 

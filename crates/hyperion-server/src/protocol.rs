@@ -19,7 +19,7 @@
 //!           | STATS
 //! response := PONG | VALUE opt | OK | DELETED removed:u8
 //!           | VALUES n:u32 opt*n | SUMMARY u32*4 | ENTRIES n:u32 (key value:u64)*n
-//!           | STATS u64*22 | ERROR code:u16 mlen:u16 msg
+//!           | STATS u64*23 | ERROR code:u16 mlen:u16 msg
 //! opt      := present:u8 [value:u64 if present]
 //! ```
 //!
@@ -279,9 +279,6 @@ pub struct StatsSnapshot {
     /// Version of the store's consolidated statistics tree
     /// ([`hyperion_core::DbStats`]) this snapshot was built from.
     pub stats_version: u64,
-    /// Numeric id of the active container-scan kernel (0 scalar, 1 SSE2,
-    /// 2 AVX2, 3 NEON; see [`hyperion_core::ScanBackend::kernel_id`]).
-    pub scan_kernel: u64,
 }
 
 impl StatsSnapshot {
@@ -498,7 +495,6 @@ pub fn encode_response(id: u32, resp: &Response, out: &mut Vec<u8>) {
                 s.failpoint_trips,
                 s.poison_recoveries,
                 s.stats_version,
-                s.scan_kernel,
             ] {
                 o.extend_from_slice(&v.to_le_bytes());
             }
@@ -728,7 +724,6 @@ pub fn decode_response(body: &[u8]) -> Result<(u32, Response), ProtoError> {
             failpoint_trips: r.u64()?,
             poison_recoveries: r.u64()?,
             stats_version: r.u64()?,
-            scan_kernel: r.u64()?,
         }),
         kind::ERROR => {
             let code = r.u16()?;
@@ -986,8 +981,7 @@ mod tests {
             rejected_connections: 3,
             failpoint_trips: 6,
             poison_recoveries: 1,
-            stats_version: 1,
-            scan_kernel: 2,
+            stats_version: 2,
             ..Default::default()
         }));
         roundtrip_response(Response::Error {

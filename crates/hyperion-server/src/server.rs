@@ -159,7 +159,6 @@ impl StatsCounters {
             failpoint_trips: stats.failpoint_trips,
             poison_recoveries: stats.poison_recoveries,
             stats_version: stats.version,
-            scan_kernel: stats.scan_backend.kernel_id(),
         }
     }
 }

@@ -75,10 +75,10 @@ pub use hyperion_server as server;
 pub use hyperion_workloads as workloads;
 
 pub use hyperion_core::{
-    BatchReport, BatchSummary, ContainerScanner, Cursor, DbScan, DbStats, Entries,
-    FibonacciPartitioner, FirstBytePartitioner, HyperionConfig, HyperionDb, HyperionDbBuilder,
-    HyperionError, HyperionMap, Iter, KvRead, KvStore, KvWrite, OrderedKvStore, OrderedRead,
-    Partitioner, Prefix, PutOutcome, Range, RangePartitioner, ScanBackend, WriteBatch, WriteError,
+    BatchReport, BatchSummary, Cursor, DbScan, DbStats, Entries, FibonacciPartitioner,
+    FirstBytePartitioner, HyperionConfig, HyperionDb, HyperionDbBuilder, HyperionError,
+    HyperionMap, Iter, KvRead, KvStore, KvWrite, OrderedKvStore, OrderedRead, Partitioner, Prefix,
+    PutOutcome, Range, RangePartitioner, WriteBatch, WriteError,
 };
 pub use hyperion_mem::MemoryManager;
 pub use hyperion_server::{Client, Server, ServerConfig, ServerHandle};

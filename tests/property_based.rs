@@ -7,7 +7,7 @@
 //! failure reproduces exactly.
 
 use hyperion::workloads::Mt19937_64;
-use hyperion::HyperionMap;
+use hyperion::{HyperionConfig, HyperionMap};
 use std::collections::BTreeMap;
 use std::ops::Bound;
 
@@ -831,5 +831,54 @@ fn db_multi_get_matches_oracle() {
             );
             assert_eq!(*result, db.get(probe).unwrap(), "{name}: vs point get");
         }
+    }
+}
+
+/// Wide-fanout containers (many T records, many S children): random u64
+/// keys at volume force splits and chain slots.  After a bulk load, a
+/// delete of every seventh key and further point puts, gets, batched gets
+/// and seeks must agree with the oracle on a 60 k-key integer map.
+#[test]
+fn wide_integer_map_matches_oracle_after_churn() {
+    let mut rng = Mt19937_64::new(0x51d3);
+    let mut map = HyperionMap::with_config(HyperionConfig::for_integers());
+    let mut oracle: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    let batch: Vec<(Vec<u8>, u64)> = (0..60_000u64)
+        .map(|i| (rng.next_u64().to_be_bytes().to_vec(), i))
+        .collect();
+    map.put_many(batch.iter().map(|(k, v)| (k.as_slice(), *v)));
+    oracle.extend(batch);
+    map.validate_structure().expect("invariant after bulk load");
+    // Interleave deletes and point puts, then re-validate.
+    let doomed: Vec<Vec<u8>> = oracle.keys().step_by(7).cloned().collect();
+    for k in &doomed {
+        assert!(map.delete(k));
+        oracle.remove(k);
+    }
+    for i in 0..5_000u64 {
+        let k = rng.next_u64().to_be_bytes().to_vec();
+        map.put(&k, i);
+        oracle.insert(k, i);
+    }
+    map.validate_structure().expect("invariant after churn");
+    assert_eq!(map.len(), oracle.len());
+    let probes: Vec<&[u8]> = oracle.keys().step_by(3).map(|k| k.as_slice()).collect();
+    let got = map.get_many(&probes);
+    for (probe, got) in probes.iter().zip(&got) {
+        assert_eq!(*got, oracle.get(*probe).copied(), "get_many {probe:x?}");
+    }
+    for (k, v) in oracle.iter().step_by(11) {
+        assert_eq!(map.get(k), Some(*v), "get {k:x?}");
+    }
+    // Seeks across the whole key space.
+    for _ in 0..200 {
+        let probe = rng.next_u64().to_be_bytes();
+        let want = oracle
+            .range(probe.to_vec()..)
+            .next()
+            .map(|(k, v)| (k.clone(), *v));
+        let mut cur = map.cursor();
+        cur.seek(&probe);
+        assert_eq!(cur.next(), want, "seek {probe:x?}");
     }
 }

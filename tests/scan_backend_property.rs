@@ -1,35 +1,33 @@
-//! Scanner-backend equivalence properties ([`hyperion_core::scan_kernel`]).
+//! Container-scan oracle property: the scalar record-find path under
+//! interleaved `put`/`put_many`/`delete` with tiny split/eject thresholds.
 //!
-//! The scalar and SIMD scan backends must be observationally identical: the
-//! SIMD backend changes the container *layout* (key-lane blocks) and the
-//! search *kernel* (vectorised lower bounds), never an answer.  These tests
-//! drive both backends through interleaved `put`/`put_many`/`delete` under
-//! tiny split/eject thresholds — so lanes are stripped, re-emitted, split
-//! and ejected constantly — and assert every read surface (point gets,
-//! `get_many`, ordered iteration in both directions, seeks, predecessor
-//! queries) agrees with a `BTreeMap` oracle and between backends, with
-//! `validate_structure` checking the lane-sidecar invariant after every
-//! mutation phase.
+//! Each case draws a random order of mutation phases (batched bulk loads
+//! through the write engine's splice path, point puts, deletes probing
+//! present and absent keys), checks `validate_structure` after every phase,
+//! and then asserts every read surface (point gets, `get_many` with misses,
+//! ordered iteration in both directions, seeks, predecessor queries) agrees
+//! with a `BTreeMap` oracle.  The test name dates from when a SIMD scan
+//! backend was checked against the scalar one here; one container layout
+//! remains, and it answers to the oracle alone.
 
 use hyperion::workloads::Mt19937_64;
-use hyperion::{HyperionConfig, HyperionMap, ScanBackend};
+use hyperion::{HyperionConfig, HyperionMap};
 use std::collections::BTreeMap;
 
 /// Tiny container thresholds: every few hundred bytes of writes ejects or
-/// splits a container, exercising lane maintenance on every structural path.
-fn tiny_config(backend: ScanBackend) -> HyperionConfig {
+/// splits a container, so every structural path runs in every case.
+fn tiny_config() -> HyperionConfig {
     HyperionConfig {
         eject_threshold: 512,
         split_base: 1024,
         split_increment: 512,
         split_min_part: 64,
-        scan_backend: backend,
         ..HyperionConfig::default()
     }
 }
 
 /// Keys over a narrow alphabet so prefixes collide heavily, containers fill
-/// fast and delta-encoded runs are long (the lane's worst case to mirror).
+/// fast and delta-encoded runs are long.
 fn clustered_key(rng: &mut Mt19937_64, max_len: usize) -> Vec<u8> {
     let len = 1 + (rng.next_u64() as usize) % max_len;
     (0..len).map(|_| (rng.next_u64() % 23) as u8).collect()
@@ -39,8 +37,7 @@ fn clustered_key(rng: &mut Mt19937_64, max_len: usize) -> Vec<u8> {
 fn backends_agree_with_oracle_under_interleaved_mutation() {
     for case in 0..24u64 {
         let mut rng = Mt19937_64::new(0x5ca7 + case);
-        let mut scalar = HyperionMap::with_config(tiny_config(ScanBackend::Scalar));
-        let mut simd = HyperionMap::with_config(tiny_config(ScanBackend::Simd));
+        let mut map = HyperionMap::with_config(tiny_config());
         let mut oracle: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
         for phase in 0..6 {
             match rng.next_u64() % 3 {
@@ -50,16 +47,14 @@ fn backends_agree_with_oracle_under_interleaved_mutation() {
                     let batch: Vec<(Vec<u8>, u64)> = (0..n)
                         .map(|_| (clustered_key(&mut rng, 10), rng.next_u64()))
                         .collect();
-                    scalar.put_many(batch.iter().map(|(k, v)| (k.as_slice(), *v)));
-                    simd.put_many(batch.iter().map(|(k, v)| (k.as_slice(), *v)));
+                    map.put_many(batch.iter().map(|(k, v)| (k.as_slice(), *v)));
                     oracle.extend(batch);
                 }
                 // Point puts through the single-pass write descent.
                 1 => {
                     for _ in 0..100 {
                         let (k, v) = (clustered_key(&mut rng, 10), rng.next_u64());
-                        scalar.put(&k, v);
-                        simd.put(&k, v);
+                        map.put(&k, v);
                         oracle.insert(k, v);
                     }
                 }
@@ -68,144 +63,68 @@ fn backends_agree_with_oracle_under_interleaved_mutation() {
                     for _ in 0..80 {
                         let k = clustered_key(&mut rng, 10);
                         let expected = oracle.remove(&k).is_some();
-                        assert_eq!(scalar.delete(&k), expected, "case {case}: scalar delete");
-                        assert_eq!(simd.delete(&k), expected, "case {case}: simd delete");
+                        assert_eq!(map.delete(&k), expected, "case {case}: delete {k:x?}");
                     }
                 }
             }
-            scalar
-                .validate_structure()
-                .unwrap_or_else(|e| panic!("case {case} phase {phase}: scalar: {e}"));
-            simd.validate_structure()
-                .unwrap_or_else(|e| panic!("case {case} phase {phase}: simd: {e}"));
+            map.validate_structure()
+                .unwrap_or_else(|e| panic!("case {case} phase {phase}: {e}"));
         }
-        assert_eq!(scalar.len(), oracle.len(), "case {case}: scalar len");
-        assert_eq!(simd.len(), oracle.len(), "case {case}: simd len");
+        assert_eq!(map.len(), oracle.len(), "case {case}: len");
 
         // Point gets: every stored key plus perturbed misses.
         for (k, v) in &oracle {
-            assert_eq!(scalar.get(k), Some(*v), "case {case}: scalar get {k:x?}");
-            assert_eq!(simd.get(k), Some(*v), "case {case}: simd get {k:x?}");
+            assert_eq!(map.get(k), Some(*v), "case {case}: get {k:x?}");
         }
         let mut probes: Vec<Vec<u8>> = oracle.keys().cloned().collect();
         for _ in 0..200 {
             probes.push(clustered_key(&mut rng, 12));
         }
         let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
-        let scalar_many = scalar.get_many(&refs);
-        let simd_many = simd.get_many(&refs);
-        for ((probe, a), b) in probes.iter().zip(&scalar_many).zip(&simd_many) {
-            let expected = oracle.get(probe).copied();
-            assert_eq!(*a, expected, "case {case}: scalar get_many {probe:x?}");
-            assert_eq!(*b, expected, "case {case}: simd get_many {probe:x?}");
+        for (probe, got) in probes.iter().zip(map.get_many(&refs)) {
+            assert_eq!(
+                got,
+                oracle.get(probe).copied(),
+                "case {case}: get_many {probe:x?}"
+            );
         }
 
         // Ordered iteration, both directions.
-        let expected: Vec<(Vec<u8>, u64)> = oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
+        let mut expected: Vec<(Vec<u8>, u64)> =
+            oracle.iter().map(|(k, v)| (k.clone(), *v)).collect();
         assert_eq!(
-            scalar.iter().collect::<Vec<_>>(),
+            map.iter().collect::<Vec<_>>(),
             expected,
-            "case {case}: scalar forward iteration"
+            "case {case}: forward iteration"
         );
+        expected.reverse();
         assert_eq!(
-            simd.iter().collect::<Vec<_>>(),
+            map.iter().rev().collect::<Vec<_>>(),
             expected,
-            "case {case}: simd forward iteration"
-        );
-        let mut reversed = expected.clone();
-        reversed.reverse();
-        assert_eq!(
-            scalar.iter().rev().collect::<Vec<_>>(),
-            reversed,
-            "case {case}: scalar reverse iteration"
-        );
-        assert_eq!(
-            simd.iter().rev().collect::<Vec<_>>(),
-            reversed,
-            "case {case}: simd reverse iteration"
+            "case {case}: reverse iteration"
         );
 
         // Seeks and predecessor queries at random split points.
         for _ in 0..50 {
             let probe = clustered_key(&mut rng, 10);
-            let want_seek = oracle
-                .range(probe.clone()..)
-                .next()
-                .map(|(k, v)| (k.clone(), *v));
-            let mut sc = scalar.cursor();
-            sc.seek(&probe);
-            let mut vc = simd.cursor();
-            vc.seek(&probe);
-            assert_eq!(sc.next(), want_seek, "case {case}: scalar seek {probe:x?}");
-            assert_eq!(vc.next(), want_seek, "case {case}: simd seek {probe:x?}");
-            let want_pred = oracle
-                .range(..probe.clone())
-                .next_back()
-                .map(|(k, v)| (k.clone(), *v));
+            let mut cursor = map.cursor();
+            cursor.seek(&probe);
             assert_eq!(
-                scalar.pred(&probe),
-                want_pred,
-                "case {case}: scalar pred {probe:x?}"
+                cursor.next(),
+                oracle
+                    .range(probe.clone()..)
+                    .next()
+                    .map(|(k, v)| (k.clone(), *v)),
+                "case {case}: seek {probe:x?}"
             );
             assert_eq!(
-                simd.pred(&probe),
-                want_pred,
-                "case {case}: simd pred {probe:x?}"
+                map.pred(&probe),
+                oracle
+                    .range(..probe.clone())
+                    .next_back()
+                    .map(|(k, v)| (k.clone(), *v)),
+                "case {case}: pred {probe:x?}"
             );
         }
-    }
-}
-
-/// Wide-fanout containers (many T records, many S children) make the lane
-/// the primary search structure; random u64 keys at volume force splits and
-/// chain-slot lanes.  Gets, batched gets and seeks must agree with the
-/// oracle on a 60 k-key map built with the SIMD backend.
-#[test]
-fn simd_backend_serves_wide_integer_maps() {
-    let mut rng = Mt19937_64::new(0x51d3);
-    let mut map = HyperionMap::with_config(HyperionConfig {
-        scan_backend: ScanBackend::Simd,
-        ..HyperionConfig::for_integers()
-    });
-    let mut oracle: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-    let batch: Vec<(Vec<u8>, u64)> = (0..60_000u64)
-        .map(|i| (rng.next_u64().to_be_bytes().to_vec(), i))
-        .collect();
-    map.put_many(batch.iter().map(|(k, v)| (k.as_slice(), *v)));
-    oracle.extend(batch);
-    map.validate_structure()
-        .expect("lane invariant after bulk load");
-    // Interleave deletes and point puts, then re-validate.
-    let doomed: Vec<Vec<u8>> = oracle.keys().step_by(7).cloned().collect();
-    for k in &doomed {
-        assert!(map.delete(k));
-        oracle.remove(k);
-    }
-    for i in 0..5_000u64 {
-        let k = rng.next_u64().to_be_bytes().to_vec();
-        map.put(&k, i);
-        oracle.insert(k, i);
-    }
-    map.validate_structure()
-        .expect("lane invariant after churn");
-    assert_eq!(map.len(), oracle.len());
-    let probes: Vec<&[u8]> = oracle.keys().step_by(3).map(|k| k.as_slice()).collect();
-    let got = map.get_many(&probes);
-    for (probe, got) in probes.iter().zip(&got) {
-        assert_eq!(*got, oracle.get(*probe).copied(), "get_many {probe:x?}");
-    }
-    for (k, v) in oracle.iter().step_by(11) {
-        assert_eq!(map.get(k), Some(*v), "get {k:x?}");
-    }
-    // Seeks across the whole key space.
-    for _ in 0..200 {
-        let probe = rng.next_u64().to_be_bytes();
-        let want = oracle
-            .range(probe.to_vec()..)
-            .next()
-            .map(|(k, v)| (k.clone(), *v));
-        let mut cur = map.cursor();
-        cur.seek(&probe);
-        assert_eq!(cur.next(), want, "seek {probe:x?}");
     }
 }

@@ -2,7 +2,9 @@
 //! `put`/`put_many`/`delete` workloads under a deliberately small container
 //! configuration that forces splits and ejections (the structural events
 //! that invalidate shortcut entries), checked against a `BTreeMap` oracle
-//! with the full container invariant check after every mutation.
+//! with the full container invariant check after every mutation, and every
+//! read surface (point gets, `get_many`, ordered iteration both ways, seeks,
+//! predecessor queries) checked at the end of each case.
 //!
 //! Like `property_based.rs`, these use a deterministic fuzz harness driven
 //! by the workspace MT19937-64 (no crates.io access), so every failure
@@ -34,83 +36,155 @@ fn clustered_key(rng: &mut Mt19937_64, max_len: usize) -> Vec<u8> {
         .collect()
 }
 
+/// Draws one key of an input's shape.
+type KeyGen = fn(&mut Mt19937_64) -> Vec<u8>;
+
+/// Non-empty keys of up to 10 bytes over the 23 smallest byte values:
+/// containers fill fast, T records fan out wider than under
+/// [`clustered_key`], and delta-encoded runs are long.
+fn alphabet23_key(rng: &mut Mt19937_64) -> Vec<u8> {
+    let len = 1 + (rng.next_u64() as usize) % 10;
+    (0..len).map(|_| (rng.next_u64() % 23) as u8).collect()
+}
+
 /// Interleaved `put_many` batches, point puts and deletes under the stress
 /// configuration: the structure invariant holds after *every* mutation, and
 /// shortcut-assisted gets never diverge from the oracle — including the
 /// second get of each key, which is served from the (possibly just
-/// invalidated and repopulated) shortcut table.
+/// invalidated and repopulated) shortcut table.  Runs over two key shapes:
+/// the 4-letter [`clustered_key`] and the 23-symbol [`alphabet23_key`].
 #[test]
 fn interleaved_mutations_with_forced_splits_match_oracle() {
-    for case in 0..12u64 {
-        let mut rng = Mt19937_64::new(0x5c07 + case);
-        let mut map = HyperionMap::with_config(stress_config());
-        let mut reference: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
-        for round in 0..6 {
-            // One batched put per round keeps the bulk-load path (stream
-            // builder, splice, shortcut publication) in the mix...
-            let n = 50 + (rng.next_u64() as usize) % 300;
-            let pairs: Vec<(Vec<u8>, u64)> = (0..n)
-                .map(|_| (clustered_key(&mut rng, 14), rng.next_u64()))
-                .collect();
-            map.put_many(pairs.iter().map(|(k, v)| (k.as_slice(), *v)));
-            for (k, v) in &pairs {
-                reference.insert(k.clone(), *v);
-            }
-            map.validate_structure()
-                .unwrap_or_else(|e| panic!("case {case} round {round}: put_many: {e}"));
-            // ...then interleaved point puts and deletes, validating after
-            // every mutation so a failing op is pinpointed exactly.
-            for step in 0..40 {
-                let key = clustered_key(&mut rng, 14);
-                if rng.next_u64() % 3 == 0 {
-                    assert_eq!(
-                        map.delete(&key),
-                        reference.remove(&key).is_some(),
-                        "case {case} round {round} step {step}: delete {key:x?}"
-                    );
-                } else {
-                    let value = rng.next_u64();
-                    assert_eq!(
-                        map.put(&key, value),
-                        !reference.contains_key(&key),
-                        "case {case} round {round} step {step}: put {key:x?}"
-                    );
-                    reference.insert(key.clone(), value);
-                }
-                map.validate_structure().unwrap_or_else(|e| {
-                    panic!("case {case} round {round} step {step}: after {key:x?}: {e}")
-                });
-            }
-            assert_eq!(map.len(), reference.len(), "case {case} round {round}: len");
-            // Shortcut-assisted gets never diverge: every live key twice
-            // (cold probe, then a probe that can be shortcut-served) plus
-            // random probes mixing present, deleted and absent keys.
-            for (k, v) in &reference {
-                for pass in 0..2 {
-                    assert_eq!(
-                        map.get(k),
-                        Some(*v),
-                        "case {case} round {round} pass {pass}: get {k:x?}"
-                    );
-                }
-            }
-            for _ in 0..64 {
-                let probe = clustered_key(&mut rng, 14);
+    let inputs: [(&str, u64, KeyGen); 2] = [
+        ("4-letter", 0x5c07, |rng| clustered_key(rng, 14)),
+        ("23-symbol", 0x5ca7, alphabet23_key),
+    ];
+    for (shape, seed, next_key) in inputs {
+        for case in 0..12u64 {
+            check_interleaved_case(&format!("{shape} case {case}"), seed + case, next_key);
+        }
+    }
+}
+
+/// One case of [`interleaved_mutations_with_forced_splits_match_oracle`]:
+/// `case` labels failures, `next_key` draws keys from the input's shape.
+fn check_interleaved_case(case: &str, seed: u64, next_key: KeyGen) {
+    let mut rng = Mt19937_64::new(seed);
+    let mut map = HyperionMap::with_config(stress_config());
+    let mut reference: BTreeMap<Vec<u8>, u64> = BTreeMap::new();
+    for round in 0..6 {
+        // One batched put per round keeps the bulk-load path (stream
+        // builder, splice, shortcut publication) in the mix...
+        let n = 50 + (rng.next_u64() as usize) % 300;
+        let pairs: Vec<(Vec<u8>, u64)> = (0..n)
+            .map(|_| (next_key(&mut rng), rng.next_u64()))
+            .collect();
+        map.put_many(pairs.iter().map(|(k, v)| (k.as_slice(), *v)));
+        for (k, v) in &pairs {
+            reference.insert(k.clone(), *v);
+        }
+        map.validate_structure()
+            .unwrap_or_else(|e| panic!("{case} round {round}: put_many: {e}"));
+        // ...then interleaved point puts and deletes, validating after
+        // every mutation so a failing op is pinpointed exactly.
+        for step in 0..40 {
+            let key = next_key(&mut rng);
+            if rng.next_u64() % 3 == 0 {
                 assert_eq!(
-                    map.get(&probe),
-                    reference.get(&probe).copied(),
-                    "case {case} round {round}: probe {probe:x?}"
+                    map.delete(&key),
+                    reference.remove(&key).is_some(),
+                    "{case} round {round} step {step}: delete {key:x?}"
+                );
+            } else {
+                let value = rng.next_u64();
+                assert_eq!(
+                    map.put(&key, value),
+                    !reference.contains_key(&key),
+                    "{case} round {round} step {step}: put {key:x?}"
+                );
+                reference.insert(key.clone(), value);
+            }
+            map.validate_structure().unwrap_or_else(|e| {
+                panic!("{case} round {round} step {step}: after {key:x?}: {e}")
+            });
+        }
+        assert_eq!(map.len(), reference.len(), "{case} round {round}: len");
+        // Shortcut-assisted gets never diverge: every live key twice
+        // (cold probe, then a probe that can be shortcut-served) plus
+        // random probes mixing present, deleted and absent keys.
+        for (k, v) in &reference {
+            for pass in 0..2 {
+                assert_eq!(
+                    map.get(k),
+                    Some(*v),
+                    "{case} round {round} pass {pass}: get {k:x?}"
                 );
             }
         }
-        // The stress thresholds must actually exercise the shortcut path:
-        // probes flowed through the table and deep containers were cached.
-        let stats = map.shortcut_stats();
-        assert!(
-            stats.hits + stats.misses > 0,
-            "case {case}: shortcut never probed"
+        for _ in 0..64 {
+            let probe = next_key(&mut rng);
+            assert_eq!(
+                map.get(&probe),
+                reference.get(&probe).copied(),
+                "{case} round {round}: probe {probe:x?}"
+            );
+        }
+    }
+    // The stress thresholds must actually exercise the shortcut path:
+    // probes flowed through the table and deep containers were cached.
+    let stats = map.shortcut_stats();
+    assert!(
+        stats.hits + stats.misses > 0,
+        "{case}: shortcut never probed"
+    );
+    assert!(stats.hits > 0, "{case}: shortcut never hit");
+
+    // Every other read surface agrees with the oracle on the final map:
+    // batched gets mixing hits and misses, full iteration in both
+    // directions, and seeks and predecessor queries at random keys.
+    let mut probes: Vec<Vec<u8>> = reference.keys().cloned().collect();
+    probes.extend((0..200).map(|_| next_key(&mut rng)));
+    let refs: Vec<&[u8]> = probes.iter().map(|k| k.as_slice()).collect();
+    for (probe, got) in probes.iter().zip(map.get_many(&refs)) {
+        assert_eq!(
+            got,
+            reference.get(probe).copied(),
+            "{case}: get_many {probe:x?}"
         );
-        assert!(stats.hits > 0, "case {case}: shortcut never hit");
+    }
+    let mut expected: Vec<(Vec<u8>, u64)> =
+        reference.iter().map(|(k, v)| (k.clone(), *v)).collect();
+    assert_eq!(
+        map.iter().collect::<Vec<_>>(),
+        expected,
+        "{case}: forward iteration"
+    );
+    expected.reverse();
+    assert_eq!(
+        map.iter().rev().collect::<Vec<_>>(),
+        expected,
+        "{case}: reverse iteration"
+    );
+    for _ in 0..50 {
+        let probe = next_key(&mut rng);
+        let mut cursor = map.cursor();
+        cursor.seek(&probe);
+        assert_eq!(
+            cursor.next(),
+            reference
+                .range(probe.clone()..)
+                .next()
+                .map(|(k, v)| (k.clone(), *v)),
+            "{case}: seek {probe:x?}"
+        );
+        assert_eq!(
+            map.pred(&probe),
+            reference
+                .range(..probe.clone())
+                .next_back()
+                .map(|(k, v)| (k.clone(), *v)),
+            "{case}: pred {probe:x?}"
+        );
     }
 }
 
